@@ -46,11 +46,13 @@ void ProfileStore::record_run(const std::string& image, double p80_memory_mb,
     ema_merge(prof.memory_signature, memory_signature);
     ema_merge(prof.sm_signature, sm_signature);
   }
-  // Runs complete far less often than schedulers read percentiles, so the
-  // sorted shadow is refreshed here rather than per query.
+  // Runs complete far less often than schedulers read percentiles and
+  // correlations, so the sorted and ranked shadows are refreshed here
+  // rather than per query.
   prof.memory_signature_sorted = prof.memory_signature;
   std::sort(prof.memory_signature_sorted.begin(),
             prof.memory_signature_sorted.end());
+  prof.memory_signature_ranks = stats::fractional_ranks(prof.memory_signature);
   ++prof.observed_runs;
 }
 
@@ -67,7 +69,8 @@ std::optional<double> ProfileStore::memory_correlation(
   if (pa->memory_signature.size() != pb->memory_signature.size()) {
     return std::nullopt;
   }
-  return stats::spearman(pa->memory_signature, pb->memory_signature);
+  return stats::pearson(pa->memory_signature_ranks,
+                        pb->memory_signature_ranks);
 }
 
 }  // namespace knots::cluster

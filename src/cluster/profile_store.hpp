@@ -30,6 +30,11 @@ struct ImageProfile {
   /// O(n log n) times inside its sort comparator); keeping the sorted copy
   /// here turns each of those into an O(1) percentile_sorted() lookup.
   std::vector<double> memory_signature_sorted;
+  /// stats::fractional_ranks(memory_signature), maintained by record_run().
+  /// CBP correlates a pending pod against every resident of every candidate
+  /// device; ranking each profile once per run instead of twice per check
+  /// leaves memory_correlation() a single Pearson pass.
+  std::vector<double> memory_signature_ranks;
 };
 
 class ProfileStore {
@@ -53,8 +58,10 @@ class ProfileStore {
   /// (node-based map), so caching the pointer itself is safe.
   [[nodiscard]] std::uint64_t generation() const noexcept { return gen_; }
 
-  /// Spearman correlation between two images' memory signatures; nullopt
-  /// when either image is unknown (CBP then provisions conservatively).
+  /// Spearman correlation between two images' memory signatures (Pearson
+  /// over the cached ranks — bit-equal to stats::spearman on the
+  /// signatures); nullopt when either image is unknown (CBP then provisions
+  /// conservatively) or the signature lengths differ.
   [[nodiscard]] std::optional<double> memory_correlation(
       const std::string& a, const std::string& b) const;
 

@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <istream>
@@ -52,6 +53,23 @@ double get_double(std::istream& is) {
   double v;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
+}
+
+/// Reads a `len`-byte string in bounded chunks, so a corrupt length costs
+/// at most one chunk past the bytes the stream really holds.
+std::string get_string(std::istream& is, std::uint32_t len) {
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::string s;
+  for (std::size_t left = len; left > 0;) {
+    const std::size_t take = std::min(left, kChunk);
+    const std::size_t at = s.size();
+    s.resize(at + take);
+    if (!is.read(s.data() + at, static_cast<std::streamsize>(take))) {
+      throw std::runtime_error("trace binary: truncated string table");
+    }
+    left -= take;
+  }
+  return s;
 }
 
 // JSON string escaping for detail strings and names.
@@ -172,8 +190,11 @@ TraceSink TraceSink::import_binary(std::istream& is) {
     throw std::runtime_error("trace binary: bad magic");
   }
   TraceSink sink;
+  // Counts and lengths come from the stream, so nothing is sized from them
+  // up front: containers grow only as records actually arrive, and a
+  // truncated or lying header fails with runtime_error at its first
+  // missing byte instead of a huge allocation.
   const auto count = get_le<std::uint64_t>(is);
-  sink.events_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     TraceEvent e;
     e.ts = get_le<std::int64_t>(is);
@@ -192,14 +213,8 @@ TraceSink TraceSink::import_binary(std::istream& is) {
   const auto nstrings = get_le<std::uint64_t>(is);
   if (nstrings == 0) throw std::runtime_error("trace binary: no string table");
   sink.strings_.clear();
-  sink.strings_.reserve(nstrings);
   for (std::uint64_t i = 0; i < nstrings; ++i) {
-    const auto len = get_le<std::uint32_t>(is);
-    std::string s(len, '\0');
-    if (len > 0 && !is.read(s.data(), len)) {
-      throw std::runtime_error("trace binary: truncated string table");
-    }
-    sink.strings_.push_back(std::move(s));
+    sink.strings_.push_back(get_string(is, get_le<std::uint32_t>(is)));
   }
   for (const auto& e : sink.events_) {
     if (e.detail >= sink.strings_.size()) {

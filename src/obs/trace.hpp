@@ -116,7 +116,9 @@ class TraceSink {
 
   /// Compact little-endian binary form (magic "KNOBTRC1").
   void export_binary(std::ostream& os) const;
-  /// Round-trip loader; throws std::runtime_error on a malformed stream.
+  /// Round-trip loader; throws std::runtime_error on a malformed or
+  /// truncated stream. Memory grows with the bytes actually read, never
+  /// with the counts the header claims.
   [[nodiscard]] static TraceSink import_binary(std::istream& is);
 
  private:

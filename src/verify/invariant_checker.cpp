@@ -1,6 +1,5 @@
 #include "verify/invariant_checker.hpp"
 
-#include <array>
 #include <cmath>
 #include <map>
 #include <string>
@@ -24,32 +23,6 @@ std::string gpu_tag(GpuId gpu) {
 
 std::string pod_tag(PodId pod) {
   return "pod " + std::to_string(pod.value);
-}
-
-/// Transitions observable between two consecutive tick-end audits. These
-/// are the closures of the single-step transitions in pod.hpp over one
-/// tick: e.g. a crashed pod can requeue *and* be re-placed within one tick,
-/// so Crashed → Starting is observable even though the state machine only
-/// allows Crashed → Pending → Starting.
-bool observable_transition(cluster::PodState from,
-                           cluster::PodState to) noexcept {
-  using S = cluster::PodState;
-  if (from == to) return true;
-  switch (from) {
-    case S::kPending:
-      return to == S::kStarting;
-    case S::kStarting:
-      return to == S::kRunning || to == S::kCrashed || to == S::kEvicted;
-    case S::kRunning:
-      return to == S::kCompleted || to == S::kCrashed || to == S::kEvicted;
-    case S::kCrashed:
-      return to == S::kPending || to == S::kStarting;
-    case S::kEvicted:
-      return to == S::kPending || to == S::kStarting;
-    case S::kCompleted:
-      return false;  // Terminal.
-  }
-  return false;
 }
 
 }  // namespace
@@ -232,15 +205,13 @@ void InvariantChecker::audit_pod(const cluster::Cluster& cluster,
 void InvariantChecker::check_pods(const cluster::Cluster& cluster) {
   using S = cluster::PodState;
   const std::size_t n = cluster.pod_count();
-  // Pods are all loaded before run(); the first audit baselines them at
-  // their construction state (Pending).
-  if (last_states_.size() < n) {
-    last_states_.resize(n, static_cast<std::uint8_t>(S::kPending));
-  }
 
+  // Duplicate detection over the pending queue. Only the bits this walk
+  // sets are cleared afterwards, so the scratch costs O(queue), not O(n).
   auto& in_pending = in_pending_scratch_;
-  in_pending.assign(n, false);
-  for (PodId id : cluster.pending()) {
+  if (in_pending.size() < n) in_pending.resize(n, false);
+  const auto& pending = cluster.pending();
+  for (PodId id : pending) {
     const auto idx = static_cast<std::size_t>(id.value);
     if (!id.valid() || idx >= n) {
       report(cluster, "pod-queue", "pending queue holds invalid " + pod_tag(id));
@@ -257,17 +228,25 @@ void InvariantChecker::check_pods(const cluster::Cluster& cluster) {
                  std::string(to_string(cluster.pod(id).state())));
     }
   }
+  for (PodId id : pending) {
+    const auto idx = static_cast<std::size_t>(id.value);
+    if (id.valid() && idx < n) in_pending[idx] = false;
+  }
 
-  // Delta audit over the cluster's packed state table: one byte per pod
-  // decides everything cheap (conservation histogram, transition legality —
-  // same state to same state is always legal), and only pods that changed
-  // state or sit in a live state (Starting/Running: progress and residency
-  // move without a state edge) pay the full per-pod dereference. The
-  // packed byte is cross-checked against pod.state() for every audited
-  // pod, so a stale table is itself a detected violation. Trade-off versus
-  // the old exhaustive sweep: corruption of a *frozen* pod's fields with
-  // no state change (impossible through the public API) is no longer
-  // caught every tick — only at its next transition.
+  // Delta audit over the cluster's packed state table (audit_pod_table in
+  // pod_state_scan.hpp): words of unchanged, in-range, frozen pods are
+  // skipped eight bytes at a time; every other byte is visited in index
+  // order, so an out-of-range byte is reported on every audit it persists,
+  // a changed byte has its transition checked, and changed or live pods
+  // (Starting/Running: progress and residency move without a state edge)
+  // pay the full per-pod dereference — the same violations on the same
+  // tick as a per-byte sweep, for O(n / 8) word compares plus O(pods that
+  // changed or are live). The conservation histogram is patched from the
+  // diffs. The packed byte is cross-checked against pod.state() for every
+  // audited pod, so a stale table is itself a detected violation.
+  // Trade-off versus an exhaustive per-pod sweep: corruption of a *frozen*
+  // pod's fields with no state change (impossible through the public API)
+  // is caught only at its next transition.
   const auto& table = cluster.pod_state_table();
   if (table.size() != n) {
     report(cluster, "pod-state-table",
@@ -275,49 +254,14 @@ void InvariantChecker::check_pods(const cluster::Cluster& cluster) {
                " != pod count " + std::to_string(n));
     return;
   }
-  std::array<std::size_t, 6> by_state{};
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t cur = table[i];
-    if (cur >= by_state.size()) {
-      report(cluster, "pod-state-table",
-             pod_tag(PodId{static_cast<std::int32_t>(i)}) +
-                 " packed state " + std::to_string(cur) + " out of range");
-      continue;
-    }
-    by_state[cur] += 1;
-    const std::uint8_t prev = last_states_[i];
-    const bool changed = cur != prev;
-    if (changed && !observable_transition(static_cast<S>(prev),
-                                          static_cast<S>(cur))) {
-      report(cluster, "pod-transition",
-             pod_tag(PodId{static_cast<std::int32_t>(i)}) +
-                 " illegal transition " +
-                 std::string(to_string(static_cast<S>(prev))) + " -> " +
-                 std::string(to_string(static_cast<S>(cur))));
-    }
-    const bool live = cur == static_cast<std::uint8_t>(S::kStarting) ||
-                      cur == static_cast<std::uint8_t>(S::kRunning);
-    if (changed || live) audit_pod(cluster, i, cur);
-  }
-  last_states_.assign(table.begin(), table.end());
-
-  // Conservation: every submitted pod is in exactly one lifecycle state,
-  // and the cluster's completion counter matches the terminal population.
-  std::size_t total = 0;
-  for (std::size_t c : by_state) total += c;
-  if (total != n) {
-    report(cluster, "pod-conservation",
-           "state counts sum to " + std::to_string(total) + " but " +
-               std::to_string(n) + " pods were submitted");
-  }
-  if (by_state[static_cast<std::size_t>(S::kCompleted)] !=
-      cluster.completed_count()) {
-    report(cluster, "pod-conservation",
-           "completed counter " + std::to_string(cluster.completed_count()) +
-               " != terminal pods " +
-               std::to_string(
-                   by_state[static_cast<std::size_t>(S::kCompleted)]));
-  }
+  audit_pod_table(
+      pod_scan_, table, cluster.completed_count(),
+      [&](std::string_view category, std::string message) {
+        report(cluster, std::string(category), std::move(message));
+      },
+      [&](std::size_t index, std::uint8_t packed_state) {
+        audit_pod(cluster, index, packed_state);
+      });
 }
 
 void InvariantChecker::check_power_cap(const cluster::Cluster& cluster) {

@@ -37,6 +37,7 @@
 #include "cluster/observer.hpp"
 #include "cluster/pod.hpp"
 #include "core/types.hpp"
+#include "verify/pod_state_scan.hpp"
 
 namespace knots::verify {
 
@@ -103,11 +104,13 @@ class InvariantChecker final : public cluster::ClusterObserver {
 
   InvariantOptions options_;
   SimTime last_tick_ = -1;
-  /// Previous audit's packed states (mirror of Cluster::pod_state_table()).
-  /// Byte-diffing against the cluster's table finds the pods worth a full
-  /// dereference; unchanged frozen-state pods skip the audit entirely.
-  std::vector<std::uint8_t> last_states_;
-  std::vector<bool> in_pending_scratch_;  ///< Reused across per-tick audits.
+  /// Previous audit's packed states (mirror of Cluster::pod_state_table())
+  /// and their per-state histogram. Diffing against the cluster's table
+  /// finds the pods worth a full dereference; unchanged frozen-state pods
+  /// skip the audit entirely.
+  PodStateScan pod_scan_;
+  /// Pending-queue membership; all false between audits.
+  std::vector<bool> in_pending_scratch_;
   std::vector<Violation> violations_;
   std::uint64_t checks_ = 0;
   std::uint64_t violation_count_ = 0;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <string>
 #include <vector>
+
+#include "stats/correlation.hpp"
 
 namespace knots::cluster {
 namespace {
@@ -68,6 +73,68 @@ TEST(ProfileStore, SeparateImagesIndependent) {
   EXPECT_EQ(store.size(), 2u);
   EXPECT_DOUBLE_EQ(store.find("face#1")->p80_memory_mb, 10);
   EXPECT_DOUBLE_EQ(store.find("face#64")->p80_memory_mb, 90);
+}
+
+/// memory_correlation() reads ranks cached at record_run(); it must stay
+/// bit-equal to Spearman recomputed from the stored signatures.
+void expect_spearman_bits(const ProfileStore& store, const std::string& a,
+                          const std::string& b) {
+  const auto corr = store.memory_correlation(a, b);
+  ASSERT_TRUE(corr.has_value()) << a << " vs " << b;
+  EXPECT_EQ(*corr, stats::spearman(store.find(a)->memory_signature,
+                                   store.find(b)->memory_signature))
+      << a << " vs " << b;
+}
+
+TEST(ProfileStore, CachedRankCorrelationIsBitEqualToSpearman) {
+  std::mt19937_64 rng(42);
+  const auto signature = [&](bool ties) {
+    std::vector<double> sig(16);
+    for (auto& v : sig) {
+      // Ties: a handful of distinct levels, so groups of equal values.
+      v = ties ? static_cast<double>(rng() % 4) * 512.0
+               : static_cast<double>(rng() % 100000) / 7.0;
+    }
+    return sig;
+  };
+  ProfileStore store;
+  const std::vector<std::string> images = {"lud", "bfs", "tied", "flat"};
+  for (int run = 0; run < 6; ++run) {
+    store.record_run("lud", 1, 1, 0, 0, signature(false), {});
+    store.record_run("bfs", 1, 1, 0, 0, signature(false), {});
+    store.record_run("tied", 1, 1, 0, 0, signature(true), {});
+    store.record_run("flat", 1, 1, 0, 0, std::vector<double>(16, 300.0), {});
+    for (const auto& a : images) {
+      for (const auto& b : images) expect_spearman_bits(store, a, b);
+    }
+  }
+  EXPECT_EQ(store.find("lud")->observed_runs, 6);
+  // EMA merging of tie-level signatures keeps ties only by coincidence;
+  // a fresh tied image checks the tie path directly.
+  store.record_run("ties-once", 1, 1, 0, 0,
+                   {3, 1, 3, 3, 2, 1, 2, 3, 1, 1, 2, 3, 3, 1, 2, 2}, {});
+  for (const auto& b : images) expect_spearman_bits(store, "ties-once", b);
+  // A constant signature has no rank spread: correlation 0.
+  EXPECT_EQ(*store.memory_correlation("flat", "lud"), 0.0);
+}
+
+TEST(ProfileStore, CachedRankCorrelationEdgeCases) {
+  ProfileStore store;
+  store.record_run("one-a", 1, 1, 0, 0, {5}, {0});
+  store.record_run("one-b", 1, 1, 0, 0, {9}, {0});
+  store.record_run("one-a", 1, 1, 0, 0, {7}, {0});
+  store.record_run("empty", 1, 1, 0, 0, {}, {});
+  store.record_run("three", 1, 1, 0, 0, {1, 2, 3}, {0, 0, 0});
+  // Size 1: Spearman is defined as 0.
+  ASSERT_TRUE(store.memory_correlation("one-a", "one-b").has_value());
+  EXPECT_EQ(*store.memory_correlation("one-a", "one-b"), 0.0);
+  expect_spearman_bits(store, "one-a", "one-b");
+  expect_spearman_bits(store, "empty", "empty");
+  // Mismatched sizes and unknown images: no correlation.
+  EXPECT_FALSE(store.memory_correlation("one-a", "three").has_value());
+  EXPECT_FALSE(store.memory_correlation("three", "empty").has_value());
+  EXPECT_FALSE(store.memory_correlation("three", "nope").has_value());
+  EXPECT_FALSE(store.memory_correlation("nope", "three").has_value());
 }
 
 }  // namespace

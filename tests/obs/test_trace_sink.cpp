@@ -2,9 +2,11 @@
 // exporter's JSON shape, and the binary round trip.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 
 #include "obs/trace.hpp"
@@ -139,6 +141,53 @@ TEST(TraceSink, ImportRejectsMalformedStreams) {
   const std::string whole = buf.str();
   std::stringstream truncated(whole.substr(0, whole.size() / 2));
   EXPECT_THROW((void)TraceSink::import_binary(truncated), std::runtime_error);
+}
+
+/// Appends `v` as a `width`-byte little-endian field (the KNOBTRC1 layout).
+void put_field(std::string& out, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+TEST(TraceSink, ImportOfHugeEventCountThrowsRuntimeError) {
+  // 16 bytes claiming 2^60 and 2^33 events: neither may be sized up front
+  // (std::length_error / std::bad_alloc); both are plain truncation.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 60, std::uint64_t{1} << 33}) {
+    std::string bytes("KNOBTRC1");
+    put_field(bytes, count, 8);
+    ASSERT_EQ(bytes.size(), 16u);
+    std::stringstream in(bytes);
+    EXPECT_THROW((void)TraceSink::import_binary(in), std::runtime_error)
+        << count;
+  }
+}
+
+TEST(TraceSink, ImportOfHugeStringLengthThrowsRuntimeError) {
+  // Zero events, two strings: "" then one claiming 4 GiB - 1 bytes backed
+  // by only a handful.
+  std::string bytes("KNOBTRC1");
+  put_field(bytes, 0, 8);
+  put_field(bytes, 2, 8);
+  put_field(bytes, 0, 4);
+  put_field(bytes, 0xffffffffU, 4);
+  bytes += "short";
+  std::stringstream in(bytes);
+  EXPECT_THROW((void)TraceSink::import_binary(in), std::runtime_error);
+}
+
+TEST(TraceSink, ImportReadsLongStringsAcrossChunks) {
+  // A detail longer than the loader's read chunk still round-trips.
+  TraceSink sink;
+  const std::string long_detail(200000, 'x');
+  sink.record(5, EventKind::kDecision, 1, 2, 3.0, long_detail);
+  std::stringstream buf;
+  sink.export_binary(buf);
+  const TraceSink loaded = TraceSink::import_binary(buf);
+  EXPECT_EQ(loaded.events(), sink.events());
+  EXPECT_EQ(loaded.strings(), sink.strings());
+  EXPECT_EQ(loaded.detail(loaded.events()[0].detail), long_detail);
 }
 
 TEST(TraceSink, EventKindNamesAreUniqueAndNonEmpty) {
