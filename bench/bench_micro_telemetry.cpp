@@ -115,14 +115,6 @@ void bench_telemetry_micro(bench::Session& session, std::size_t iters) {
     });
     session.record("tsdb_ingest", as_metrics(m));
   }
-  {
-    telemetry::TimeSeriesDb db(/*retention=*/65536, /*stats_window=*/kWindow);
-    SimTime t = 0;
-    const auto m = measure(iters, [&](std::size_t) {
-      db.write(GpuId{0}, telemetry::Metric::kSmUtil, {t++, 0.5});
-    });
-    session.record("tsdb_ingest_live_stats", as_metrics(m));
-  }
 
   // -- Window materialization: vector query vs zero-copy view --
   {

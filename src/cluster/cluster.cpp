@@ -50,7 +50,7 @@ Cluster::Cluster(const ClusterConfig& config, Scheduler& scheduler)
     nodes_.push_back(std::make_unique<gpu::GpuNode>(NodeId{n}, node_spec,
                                                     next_gpu));
     dbs_.push_back(std::make_unique<telemetry::TimeSeriesDb>(
-        config_.telemetry_retention, /*stats_window=*/0, &telemetry_arena_));
+        config_.telemetry_retention, &telemetry_arena_));
     for (int g = 0; g < node_spec.gpus_per_node; ++g) {
       gpu_index_.emplace_back(static_cast<std::size_t>(n),
                               static_cast<std::size_t>(g));

@@ -60,6 +60,10 @@ class Rng {
   double exponential(double mean) noexcept;
   /// Normal with mean/stddev (Box–Muller, one value per call).
   double normal(double mean, double stddev) noexcept;
+  /// Advances the engine exactly as normal() would, without computing the
+  /// variate: a draw whose value no one reads keeps every later draw of
+  /// the stream where it was.
+  void skip_normal() noexcept;
   /// Log-normal parameterized by the underlying normal's mu/sigma.
   double lognormal(double mu, double sigma) noexcept;
   /// Bounded Pareto with shape alpha on [lo, hi].
@@ -74,6 +78,14 @@ class Rng {
  private:
   std::uint64_t root_seed_;
   Xoshiro256 engine_;
+
+  /// The uniform pair one Box–Muller normal consumes: u1 in (0, 1) (a zero
+  /// is redrawn, log(0) being undefined), then u2 in [0, 1).
+  struct UniformPair {
+    double u1;
+    double u2;
+  };
+  UniformPair box_muller_uniforms() noexcept;
 
   explicit Rng(Xoshiro256 engine, std::uint64_t root) noexcept
       : root_seed_(root), engine_(engine) {}

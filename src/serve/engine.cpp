@@ -616,9 +616,9 @@ void ServingEngine::fill_report(ServingReport& report) const {
     report.replicas_retired += s.retired;
     report.scale_ups += s.scale_ups;
     report.scale_downs += s.scale_downs;
-    report.offered_qps += s.cfg.qps;
   }
   fill_latency(report.latency, all);
+  report.offered_qps = static_cast<double>(report.offered) / window_sec;
   report.achieved_qps =
       static_cast<double>(report.completed + report.degraded) / window_sec;
   std::size_t batched = 0;

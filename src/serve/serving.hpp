@@ -124,8 +124,8 @@ struct ServingReport {
   std::size_t degraded = 0;
   std::size_t slo_violations = 0;
   LatencyStats latency;
-  double offered_qps = 0;
-  double achieved_qps = 0;
+  double offered_qps = 0;   ///< Sampled arrivals / window (not cfg qps).
+  double achieved_qps = 0;  ///< Served requests / window.
 
   std::size_t batches = 0;
   double mean_batch_fill = 0;  ///< Mean batch size / max_batch.

@@ -1,88 +1,11 @@
 #include "stats/rolling.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/check.hpp"
 #include "core/percentile.hpp"
 
 namespace knots::stats {
-
-RollingStats::RollingStats(std::size_t capacity) : window_(capacity) {
-  KNOTS_CHECK(capacity > 0);
-}
-
-void RollingStats::push(double x) {
-  if (size_ == window_.size()) {
-    const double evicted = window_[head_];
-    sum_ -= evicted;
-    sumsq_ -= evicted * evicted;
-  } else {
-    ++size_;
-  }
-  window_[head_] = x;
-  head_ = (head_ + 1) % window_.size();
-  sum_ += x;
-  sumsq_ += x * x;
-  ++pushes_;
-
-  // Running sums accumulate one rounding error per eviction; a full exact
-  // recompute every window turnover keeps the drift O(capacity * ulp),
-  // invisible at 1e-9 for telemetry-scale values.
-  if (pushes_ % window_.size() == 0 && size_ == window_.size()) {
-    recompute_sums();
-  }
-
-  while (!min_q_.empty() && min_q_.back().second >= x) min_q_.pop_back();
-  min_q_.emplace_back(pushes_, x);
-  while (!max_q_.empty() && max_q_.back().second <= x) max_q_.pop_back();
-  max_q_.emplace_back(pushes_, x);
-  // Expire extrema that fell out of the window (push indices are 1-based).
-  const std::uint64_t oldest = pushes_ - size_ + 1;
-  while (min_q_.front().first < oldest) min_q_.pop_front();
-  while (max_q_.front().first < oldest) max_q_.pop_front();
-}
-
-void RollingStats::recompute_sums() noexcept {
-  double s = 0.0, sq = 0.0;
-  for (std::size_t i = 0; i < size_; ++i) {
-    const double v = window_[(head_ + window_.size() - size_ + i) %
-                             window_.size()];
-    s += v;
-    sq += v * v;
-  }
-  sum_ = s;
-  sumsq_ = sq;
-}
-
-double RollingStats::mean() const noexcept {
-  return size_ == 0 ? 0.0 : sum_ / static_cast<double>(size_);
-}
-
-double RollingStats::variance() const noexcept {
-  if (size_ < 2) return 0.0;
-  const double n = static_cast<double>(size_);
-  const double var = (sumsq_ - sum_ * sum_ / n) / (n - 1.0);
-  return var < 0.0 ? 0.0 : var;  // Clamp cancellation noise.
-}
-
-double RollingStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double RollingStats::min() const noexcept {
-  return min_q_.empty() ? 0.0 : min_q_.front().second;
-}
-
-double RollingStats::max() const noexcept {
-  return max_q_.empty() ? 0.0 : max_q_.front().second;
-}
-
-void RollingStats::clear() noexcept {
-  head_ = size_ = 0;
-  pushes_ = 0;
-  sum_ = sumsq_ = 0.0;
-  min_q_.clear();
-  max_q_.clear();
-}
 
 RollingQuantile::RollingQuantile(std::size_t capacity) : ring_(capacity) {
   KNOTS_CHECK(capacity > 0);

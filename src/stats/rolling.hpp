@@ -1,69 +1,19 @@
-// Rolling-window accumulators for the telemetry hot path.
+// Rolling-window order statistics.
 //
-// The schedulers interrogate fixed-length windows of every (GPU, metric)
-// series once per tick; recomputing mean/variance or re-sorting the window
-// per query is what capped cluster sizes before PR 2. These structures pay
-// the cost on write instead:
+// RollingQuantile keeps exact order statistics of the last `capacity`
+// samples: a sorted shadow of the window maintained by binary-search
+// insert/erase (O(n) memmove, ~100 ns at telemetry window sizes, vs
+// O(n log n) sort per query). quantile(p) is bit-identical to
+// core::percentile over the same window; obs::Histogram keeps one for its
+// recent-window percentiles.
 //
-//  * RollingStats     — mean/variance/min/max of the last `capacity` samples
-//                       in O(1) amortized per push (running sums + monotonic
-//                       deques, with a periodic exact recompute that bounds
-//                       floating-point drift to well under the 1e-9 the
-//                       equivalence suite demands for O(1)-magnitude data).
-//  * RollingQuantile  — exact order statistics of the last `capacity`
-//                       samples: a sorted shadow of the window maintained by
-//                       binary-search insert/erase (O(n) memmove, ~100 ns at
-//                       telemetry window sizes, vs O(n log n) sort per
-//                       query). quantile(p) is bit-identical to
-//                       core::percentile over the same window.
-//
-// Neither structure is thread-safe; each telemetry series owns its own.
+// Not thread-safe; each owner keeps its own.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <vector>
 
 namespace knots::stats {
-
-class RollingStats {
- public:
-  explicit RollingStats(std::size_t capacity);
-
-  /// Adds a sample, evicting the oldest when the window is full.
-  void push(double x);
-
-  [[nodiscard]] std::size_t count() const noexcept { return size_; }
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return window_.size();
-  }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::uint64_t pushes() const noexcept { return pushes_; }
-
-  [[nodiscard]] double sum() const noexcept { return sum_; }
-  [[nodiscard]] double mean() const noexcept;
-  /// Sample variance (n-1 denominator); 0 when fewer than 2 samples.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept;
-  [[nodiscard]] double max() const noexcept;
-
-  void clear() noexcept;
-
- private:
-  void recompute_sums() noexcept;
-
-  std::vector<double> window_;  ///< Ring storage; index = push count % cap.
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  std::uint64_t pushes_ = 0;
-  double sum_ = 0.0;
-  double sumsq_ = 0.0;
-  /// Monotonic deques of (push index, value): front is the window extremum.
-  std::deque<std::pair<std::uint64_t, double>> min_q_;
-  std::deque<std::pair<std::uint64_t, double>> max_q_;
-};
 
 class RollingQuantile {
  public:

@@ -4,6 +4,7 @@
 
 #include "core/check.hpp"
 #include "obs/profile.hpp"
+#include "telemetry/sampler.hpp"
 
 namespace knots::telemetry {
 
@@ -17,6 +18,13 @@ inline bool key_before(double free_a, std::uint32_t slot_a, double free_b,
                        std::uint32_t slot_b) noexcept {
   if (free_a != free_b) return free_a > free_b;
   return slot_a < slot_b;
+}
+
+/// Dies unless `metric` is the one the heartbeat records: a window over any
+/// other metric would be silently empty.
+void check_recorded(Metric metric) {
+  KNOTS_CHECK_MSG(metric == kRecordedMetric,
+                  "window query on a metric the heartbeat does not record");
 }
 
 }  // namespace
@@ -82,24 +90,14 @@ bool UtilizationAggregator::refresh_entry(std::size_t entry_idx) const {
   if (entry_seen_[entry_idx] == stamp) return false;
   entry_seen_[entry_idx] = stamp;
   for (std::size_t i = 0; i < entry.node->gpu_count(); ++i) {
-    const GpuId id = entry.node->gpu(i).id();
     CachedSeries& c = series_cache_[entry.first_slot + i];
-    if (!c.h_sm) {
-      c.h_sm = entry.db->find_series(id, Metric::kSmUtil);
-      c.h_mem = entry.db->find_series(id, Metric::kMemUtil);
-      c.h_power = entry.db->find_series(id, Metric::kPowerWatts);
+    if (!c.h_mem) {
+      c.h_mem = entry.db->find_series(entry.node->gpu(i).id(),
+                                      kRecordedMetric);
+      if (!c.h_mem) continue;  // never sampled: keep the empty defaults
     }
-    if (c.h_sm) {
-      c.sm_util = entry.db->latest(c.h_sm, 0.0);
-      c.mem_util = entry.db->latest(c.h_mem, 0.0);
-      c.power_watts = entry.db->latest(c.h_power, 0.0);
-      c.last_heartbeat = entry.db->latest_time(c.h_sm);
-    } else {
-      c.sm_util = entry.db->latest(id, Metric::kSmUtil);
-      c.mem_util = entry.db->latest(id, Metric::kMemUtil);
-      c.power_watts = entry.db->latest(id, Metric::kPowerWatts);
-      c.last_heartbeat = entry.db->latest_time(id, Metric::kSmUtil);
-    }
+    c.mem_util = entry.db->latest(c.h_mem, 0.0);
+    c.last_heartbeat = entry.db->latest_time(c.h_mem);
   }
   return true;
 }
@@ -166,11 +164,9 @@ GpuView UtilizationAggregator::make_view(std::size_t entry_idx,
   GpuView v;
   v.node = entry.node->id();
   v.gpu = dev.id();
-  v.sm_util = c.sm_util;
   v.mem_util = c.mem_util;
   v.mem_used_mb = c.mem_util * cap;
   v.free_mem_mb = dev.effective_memory_mb() - v.mem_used_mb;
-  v.power_watts = c.power_watts;
   v.parked = dev.parked();
   v.residents = dev.totals().residents;
   v.last_heartbeat = c.last_heartbeat;
@@ -192,11 +188,9 @@ GpuView UtilizationAggregator::make_view_cached(std::uint32_t slot) const {
   GpuView v;
   v.node = st.node;
   v.gpu = st.gpu;
-  v.sm_util = c.sm_util;
   v.mem_util = c.mem_util;
   v.mem_used_mb = c.mem_util * st.cap;
   v.free_mem_mb = bits.effective_mb - v.mem_used_mb;
-  v.power_watts = c.power_watts;
   v.parked = bits.parked;
   v.residents = bits.residents;
   v.last_heartbeat = c.last_heartbeat;
@@ -355,6 +349,7 @@ void UtilizationAggregator::window_into(GpuId gpu, Metric metric, SimTime now,
 WindowView UtilizationAggregator::window_view(GpuId gpu, Metric metric,
                                               SimTime now,
                                               SimTime window_len) const {
+  check_recorded(metric);
   const Entry* entry = find_gpu(gpu);
   if (entry == nullptr) return {};
   return entry->db->window_view(gpu, metric, now - window_len);
@@ -363,6 +358,7 @@ WindowView UtilizationAggregator::window_view(GpuId gpu, Metric metric,
 const WindowAggregate& UtilizationAggregator::window_stats(
     GpuId gpu, Metric metric, SimTime now, SimTime window_len) const {
   static const WindowAggregate kEmpty{};
+  check_recorded(metric);
   const Entry* entry = find_gpu(gpu);
   if (entry == nullptr) return kEmpty;
   return entry->db->window_stats(gpu, metric, now - window_len);
@@ -372,7 +368,7 @@ bool UtilizationAggregator::stale(GpuId gpu) const {
   if (horizon_ <= 0) return false;
   const Entry* entry = find_gpu(gpu);
   if (entry == nullptr) return false;
-  return now_ - entry->db->latest_time(gpu, Metric::kSmUtil) > horizon_;
+  return now_ - entry->db->latest_time(gpu, kRecordedMetric) > horizon_;
 }
 
 const UtilizationAggregator::Entry* UtilizationAggregator::find_gpu(

@@ -38,11 +38,9 @@ namespace knots::telemetry {
 struct GpuView {
   NodeId node;
   GpuId gpu;
-  double sm_util = 0.0;        ///< Latest sampled SM utilization [0,1].
   double mem_util = 0.0;       ///< Latest sampled memory utilization [0,1].
   double mem_used_mb = 0.0;
   double free_mem_mb = 0.0;    ///< usable capacity − used (telemetry view).
-  double power_watts = 0.0;
   bool parked = false;
   int residents = 0;
   SimTime last_heartbeat = -1; ///< Time of the newest sample; -1 = never.
@@ -110,7 +108,8 @@ class UtilizationAggregator {
 
   /// Windowed series for a metric of one GPU: samples with
   /// time >= now − window. Allocates; prefer window_into()/window_view()
-  /// on the tick path.
+  /// on the tick path. Every window query dies (KNOTS_CHECK) on a metric
+  /// the heartbeat does not record (kRecordedMetric in sampler.hpp).
   [[nodiscard]] std::vector<double> window(GpuId gpu, Metric metric,
                                            SimTime now, SimTime window) const;
 
@@ -151,20 +150,17 @@ class UtilizationAggregator {
     const TimeSeriesDb* db;
     std::size_t first_slot;  ///< Index of this node's first GPU slot.
   };
-  /// Latest-value cache for one GPU's series, refreshed only when its
-  /// node's database has actually appended samples (total_samples() moved).
-  /// Schedulers snapshot once per pending pod but telemetry lands once per
-  /// tick — without this, every snapshot pays four hash lookups per GPU.
+  /// Latest-value cache for one GPU's recorded series, refreshed only when
+  /// its node's database has actually appended samples (total_samples()
+  /// moved). Schedulers snapshot once per pending pod but telemetry lands
+  /// once per tick — without this, every snapshot pays a hash lookup per
+  /// GPU.
   struct CachedSeries {
-    double sm_util = 0.0;
     double mem_util = 0.0;
-    double power_watts = 0.0;
     SimTime last_heartbeat = -1;
-    /// Direct series handles, resolved on first refresh (the series appear
-    /// once the node's sampler runs); null until then.
-    TimeSeriesDb::ConstSeriesHandle h_sm{};
+    /// Direct series handle, resolved on first refresh (the series appears
+    /// once the node's sampler opens it); null until then.
     TimeSeriesDb::ConstSeriesHandle h_mem{};
-    TimeSeriesDb::ConstSeriesHandle h_power{};
   };
   /// Sort key for Algorithm 1. Keyed (free_mem desc, slot asc): slot order
   /// is registration order, so merged output ties resolve exactly like the

@@ -4,31 +4,25 @@
 
 namespace knots::telemetry {
 
-double HeartbeatSampler::jitter(double value, double scale) {
-  if (noise_sigma_ <= 0.0) return value;
-  return std::max(0.0, value + rng_.normal(0.0, noise_sigma_ * scale));
+void HeartbeatSampler::skip_jitter(int n) {
+  if (noise_sigma_ <= 0.0) return;
+  for (int k = 0; k < n; ++k) rng_.skip_normal();
 }
 
 void HeartbeatSampler::sample(SimTime now) {
+  static_assert(kRecordedMetric == Metric::kMemUtil,
+                "sample() draws noise in the order sm, mem, power, tx, rx");
   for (std::size_t i = 0; i < node_->gpu_count(); ++i) {
     const auto& dev = node_->gpu(i);
-    const auto totals = dev.totals();
-    const double cap = dev.spec().memory_mb;
-    const auto& s = series_[i];
-    // Warm the five write slots first so the ring misses overlap the
-    // Box–Muller math below instead of serializing after it.
-    for (const auto& h : s) db_->prefetch_write(h);
-    const double sm = std::clamp(jitter(totals.sm_util, 1.0), 0.0, 1.0);
-    const double mem =
-        std::clamp(jitter(totals.memory_used_mb / cap, 1.0), 0.0, 1.0);
-    const double watts = jitter(dev.power_watts(), 10.0);
-    const double tx = jitter(totals.tx_mbps, 100.0);
-    const double rx = jitter(totals.rx_mbps, 100.0);
-    db_->write(s[0], {now, sm});
-    db_->write(s[1], {now, mem});
-    db_->write(s[2], {now, watts});
-    db_->write(s[3], {now, tx});
-    db_->write(s[4], {now, rx});
+    // Warm the write slot so the ring miss overlaps the noise math below.
+    db_->prefetch_write(series_[i]);
+    skip_jitter(1);  // sm
+    double mem = dev.totals().memory_used_mb / dev.spec().memory_mb;
+    if (noise_sigma_ > 0.0) {
+      mem = std::max(0.0, mem + rng_.normal(0.0, noise_sigma_));
+    }
+    skip_jitter(3);  // power, tx, rx
+    db_->write(series_[i], {now, std::clamp(mem, 0.0, 1.0)});
   }
 }
 

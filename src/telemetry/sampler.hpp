@@ -1,12 +1,17 @@
 // Heartbeat sampler — the pyNVML surrogate.
 //
-// At every heartbeat it reads the five metrics off each GPU of its node and
-// writes them to the node-local TimeSeriesDb. Real NVML counters quantize and
+// At every heartbeat it reads each GPU of its node and writes the recorded
+// metric to the node-local TimeSeriesDb. Real NVML counters quantize and
 // jitter; `noise_sigma` models that measurement noise, which is what makes
 // sub-millisecond heartbeats *hurt* prediction accuracy (Fig 10b).
+//
+// Knots samples five metrics per GPU (§IV-A), and the noise stream keeps
+// drawing for all five in the order sm, mem, power, tx, rx, so the per-node
+// RNG stays where five noisy reads would leave it. Only kRecordedMetric is
+// transformed and written; the other four draws are skipped
+// (Rng::skip_normal) and their series are never opened.
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -16,6 +21,11 @@
 
 namespace knots::telemetry {
 
+/// The one metric a heartbeat records: memory utilization gives the
+/// free-memory sort key and Peak Prediction's lookback window. No policy
+/// reads the other four.
+inline constexpr Metric kRecordedMetric = Metric::kMemUtil;
+
 class HeartbeatSampler {
  public:
   HeartbeatSampler(const gpu::GpuNode& node, TimeSeriesDb& db,
@@ -23,15 +33,10 @@ class HeartbeatSampler {
       : node_(&node), db_(&db), rng_(rng), noise_sigma_(noise_sigma) {
     // Open every series this sampler will ever write once up front; the
     // per-heartbeat writes then go through stable handles instead of a
-    // hash lookup per (GPU, metric) — the dominant cost at 1k+ nodes.
+    // hash lookup per GPU — the dominant cost at 1k+ nodes.
     series_.reserve(node.gpu_count());
     for (std::size_t i = 0; i < node.gpu_count(); ++i) {
-      const GpuId id = node.gpu(i).id();
-      series_.push_back({db.open_series(id, Metric::kSmUtil),
-                         db.open_series(id, Metric::kMemUtil),
-                         db.open_series(id, Metric::kPowerWatts),
-                         db.open_series(id, Metric::kTxBandwidth),
-                         db.open_series(id, Metric::kRxBandwidth)});
+      series_.push_back(db.open_series(node.gpu(i).id(), kRecordedMetric));
     }
   }
 
@@ -41,14 +46,15 @@ class HeartbeatSampler {
   [[nodiscard]] double noise_sigma() const noexcept { return noise_sigma_; }
 
  private:
-  [[nodiscard]] double jitter(double value, double scale);
+  /// Consumes the noise draws of `n` unrecorded metrics.
+  void skip_jitter(int n);
 
   const gpu::GpuNode* node_;
   TimeSeriesDb* db_;
   Rng rng_;
   double noise_sigma_;
-  /// Pre-opened handles per GPU, in sample() write order.
-  std::vector<std::array<TimeSeriesDb::SeriesHandle, 5>> series_;
+  /// Pre-opened kRecordedMetric handle per GPU.
+  std::vector<TimeSeriesDb::SeriesHandle> series_;
 };
 
 }  // namespace knots::telemetry

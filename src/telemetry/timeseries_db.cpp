@@ -10,11 +10,10 @@ void TimeSeriesDb::write(GpuId gpu, Metric metric, Sample sample) {
   const Key key{gpu.value, static_cast<int>(metric)};
   auto it = series_.find(key);
   if (it == series_.end()) {
-    it = series_.emplace(key, Series(retention_, stats_window_, arena_)).first;
+    it = series_.emplace(key, Series(retention_, arena_)).first;
   }
   Series& s = it->second;
   s.buf.push(sample);
-  if (s.live) s.live->push(sample.value);
   ++s.generation;
   ++total_samples_;
 }
@@ -24,7 +23,7 @@ TimeSeriesDb::SeriesHandle TimeSeriesDb::open_series(GpuId gpu,
   const Key key{gpu.value, static_cast<int>(metric)};
   auto it = series_.find(key);
   if (it == series_.end()) {
-    it = series_.emplace(key, Series(retention_, stats_window_, arena_)).first;
+    it = series_.emplace(key, Series(retention_, arena_)).first;
   }
   return SeriesHandle{&it->second};
 }
@@ -96,12 +95,6 @@ const WindowAggregate& TimeSeriesDb::window_stats(GpuId gpu, Metric metric,
   s->agg_generation = s->generation;
   s->agg_since = since;
   return s->agg_cache;
-}
-
-const stats::RollingStats* TimeSeriesDb::live_stats(GpuId gpu,
-                                                    Metric metric) const {
-  const Series* s = find(gpu, metric);
-  return s == nullptr ? nullptr : s->live.get();
 }
 
 std::vector<Sample> TimeSeriesDb::query_all(GpuId gpu, Metric metric) const {

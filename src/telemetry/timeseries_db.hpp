@@ -7,15 +7,12 @@
 // Since PR 2 the query side is built for the scheduler tick loop:
 //  * window_view() hands out a zero-copy WindowView (at most two spans over
 //    the ring) instead of materializing a vector per (GPU, metric, tick);
-//  * every write feeds a per-series RollingStats, so window means/extrema of
-//    the live window are O(1) reads;
 //  * window_stats() percentile aggregates are cached per write generation —
 //    repeated queries within one tick sort the window once.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -23,7 +20,6 @@
 #include "core/page_arena.hpp"
 #include "core/ring_buffer.hpp"
 #include "core/types.hpp"
-#include "stats/rolling.hpp"
 #include "telemetry/metric.hpp"
 
 namespace knots::telemetry {
@@ -70,17 +66,13 @@ class TimeSeriesDb {
 
  public:
   /// `retention` = max samples kept per (gpu, metric) series.
-  /// `stats_window` = span (in samples) of the per-series RollingStats
-  /// maintained on write; 0 disables them.
   /// `arena` (optional, not owned, must outlive the db) backs the ring
   /// buffers — the cluster shares one huge-page arena across all node dbs
   /// so a datacenter's rings pack contiguously instead of thrashing the
   /// TLB; null keeps the global heap.
   explicit TimeSeriesDb(std::size_t retention = 65536,
-                        std::size_t stats_window = 0,
                         core::PageArena* arena = nullptr)
       : retention_(retention),
-        stats_window_(stats_window),
         arena_(arena),
         series_(SeriesAlloc(arena)) {}
 
@@ -103,7 +95,7 @@ class TimeSeriesDb {
   [[nodiscard]] SeriesHandle open_series(GpuId gpu, Metric metric);
 
   /// write() without the per-call hash lookup — the heartbeat hot path
-  /// (every sampler writes five series per GPU per tick).
+  /// (every sampler writes one series per GPU per tick).
   void write(SeriesHandle handle, Sample sample);
 
   /// Warms the handle's next write slot (the rings of a datacenter-scale
@@ -155,11 +147,6 @@ class TimeSeriesDb {
   [[nodiscard]] const WindowAggregate& window_stats(GpuId gpu, Metric metric,
                                                     SimTime since) const;
 
-  /// O(1) stats over the newest `stats_window` samples, maintained on
-  /// write. Null when stats are disabled or the series is unknown.
-  [[nodiscard]] const stats::RollingStats* live_stats(GpuId gpu,
-                                                      Metric metric) const;
-
   /// Full retained samples (oldest-first) for a series.
   [[nodiscard]] std::vector<Sample> query_all(GpuId gpu, Metric metric) const;
 
@@ -210,14 +197,9 @@ class TimeSeriesDb {
   friend class SeriesHandle;
 
   struct Series {
-    explicit Series(std::size_t retention, std::size_t stats_window,
-                    core::PageArena* arena)
-        : buf(retention, core::ArenaAllocator<Sample>(arena)),
-          live(stats_window == 0 ? nullptr
-                                 : std::make_unique<stats::RollingStats>(
-                                       stats_window)) {}
+    explicit Series(std::size_t retention, core::PageArena* arena)
+        : buf(retention, core::ArenaAllocator<Sample>(arena)) {}
     RingBuffer<Sample, core::ArenaAllocator<Sample>> buf;
-    std::unique_ptr<stats::RollingStats> live;
     std::uint64_t generation = 0;
     // window_stats cache: valid while (generation, since) match.
     mutable WindowAggregate agg_cache;
@@ -233,7 +215,6 @@ class TimeSeriesDb {
   static std::size_t lower_bound_time(const SampleRing& buf, SimTime since);
 
   std::size_t retention_;
-  std::size_t stats_window_;
   core::PageArena* arena_ = nullptr;  ///< not owned; null = global heap
   /// Map nodes come from the same arena as the rings: the scrape touches
   /// every series' head metadata each tick, and packing the nodes beats
@@ -248,7 +229,6 @@ class TimeSeriesDb {
 inline void TimeSeriesDb::write(SeriesHandle handle, Sample sample) {
   Series& s = *handle.series_;
   s.buf.push(sample);
-  if (s.live) s.live->push(sample.value);
   ++s.generation;
   ++total_samples_;
 }

@@ -106,6 +106,28 @@ TEST(Rng, NormalMomentsApproximatelyCorrect) {
   EXPECT_NEAR(var, 2.25, 0.1);
 }
 
+// skip_normal() is normal() without the transform: any interleaving of the
+// two leaves the engine exactly where the same count of normal() calls
+// does, so the normal() calls in between return the same values. One
+// uniform too few or too many per skip shifts every later draw.
+TEST(Rng, SkipNormalAdvancesLikeNormal) {
+  for (std::uint64_t seed = 1; seed <= 256; ++seed) {
+    Rng all(seed);
+    Rng mixed(seed);
+    Rng pattern(seed * 7919);
+    for (int i = 0; i < 40; ++i) {
+      const double expect = all.normal(0.5, 2.0);
+      if (pattern.chance(0.6)) {
+        mixed.skip_normal();
+      } else {
+        ASSERT_EQ(mixed.normal(0.5, 2.0), expect)
+            << "seed " << seed << " call " << i;
+      }
+    }
+    ASSERT_EQ(mixed.engine()(), all.engine()()) << "seed " << seed;
+  }
+}
+
 TEST(Rng, LognormalMatchesClosedFormMean) {
   Rng rng(17);
   double sum = 0;

@@ -128,6 +128,21 @@ TEST(Serving, GoldenCrashStormDigest) {
   EXPECT_EQ(report.experiment.invariant_violations, 0u);
 }
 
+// offered_qps is the sampled arrival count over the window, the same
+// denominator achieved_qps uses, so a report never serves more than it was
+// offered (the configured rate is only the arrival process's mean).
+TEST(Serving, OfferedQpsIsRealizedArrivalRate) {
+  for (const auto shape : {ArrivalShape::kPoisson, ArrivalShape::kFlashCrowd}) {
+    const ServingConfig cfg = small_serving(shape);
+    const auto report = run_serving(cfg);
+    const double window_sec = static_cast<double>(cfg.window) / 1e6;
+    ASSERT_GT(report.offered, 0u);
+    EXPECT_DOUBLE_EQ(report.offered_qps * window_sec,
+                     static_cast<double>(report.offered));
+    EXPECT_LE(report.achieved_qps, report.offered_qps);
+  }
+}
+
 TEST(Serving, AdmissionShedKeepsSloMissesLow) {
   // With kShed admission, requests that would blow the deadline are turned
   // away at arrival; the served population's SLO-violation fraction must

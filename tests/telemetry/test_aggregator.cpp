@@ -41,7 +41,7 @@ TEST_F(AggregatorTest, SnapshotCoversAllGpus) {
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(agg_.node_count(), 3u);
   for (const auto& v : snap) {
-    EXPECT_DOUBLE_EQ(v.sm_util, 0.0);
+    EXPECT_DOUBLE_EQ(v.mem_util, 0.0);
     EXPECT_FALSE(v.parked);
   }
 }
@@ -51,7 +51,9 @@ TEST_F(AggregatorTest, SnapshotReflectsTelemetry) {
   EXPECT_TRUE(nodes_[1]->gpu(0).set_usage(PodId{1}, {0.7, 8192, 0, 0}));
   sample_all(5);
   const auto snap = agg_.snapshot();
-  EXPECT_DOUBLE_EQ(snap[1].sm_util, 0.7);
+  EXPECT_DOUBLE_EQ(snap[1].mem_util,
+                   8192 / nodes_[1]->gpu(0).spec().memory_mb);
+  EXPECT_EQ(snap[1].last_heartbeat, 5);
   EXPECT_NEAR(snap[1].mem_used_mb, 8192, 1e-6);
   EXPECT_NEAR(snap[1].free_mem_mb,
               nodes_[1]->gpu(0).spec().memory_mb - 8192, 1e-6);
@@ -84,35 +86,53 @@ TEST_F(AggregatorTest, ParkedGpusExcludedFromActiveList) {
 TEST_F(AggregatorTest, WindowedSeriesQuery) {
   for (SimTime t = 0; t <= 100; t += 10) sample_all(t);
   const auto window =
-      agg_.window(GpuId{1}, Metric::kSmUtil, /*now=*/100, /*window=*/35);
+      agg_.window(GpuId{1}, Metric::kMemUtil, /*now=*/100, /*window=*/35);
   EXPECT_EQ(window.size(), 4u);  // t = 70, 80, 90, 100
-  EXPECT_TRUE(agg_.window(GpuId{99}, Metric::kSmUtil, 100, 35).empty());
+  EXPECT_TRUE(agg_.window(GpuId{99}, Metric::kMemUtil, 100, 35).empty());
 }
 
 TEST_F(AggregatorTest, WindowIntoAndViewMatchAllocatingWindow) {
   for (SimTime t = 0; t <= 100; t += 10) sample_all(t);
   const auto expect =
-      agg_.window(GpuId{1}, Metric::kSmUtil, /*now=*/100, /*window=*/35);
+      agg_.window(GpuId{1}, Metric::kMemUtil, /*now=*/100, /*window=*/35);
 
   std::vector<double> scratch = {99.0, 98.0};  // must be cleared, not appended
-  agg_.window_into(GpuId{1}, Metric::kSmUtil, 100, 35, scratch);
+  agg_.window_into(GpuId{1}, Metric::kMemUtil, 100, 35, scratch);
   EXPECT_EQ(scratch, expect);
 
-  const auto view = agg_.window_view(GpuId{1}, Metric::kSmUtil, 100, 35);
+  const auto view = agg_.window_view(GpuId{1}, Metric::kMemUtil, 100, 35);
   ASSERT_EQ(view.size(), expect.size());
   for (std::size_t i = 0; i < expect.size(); ++i) {
     EXPECT_DOUBLE_EQ(view[i].value, expect[i]);
   }
 
-  agg_.window_into(GpuId{99}, Metric::kSmUtil, 100, 35, scratch);
+  agg_.window_into(GpuId{99}, Metric::kMemUtil, 100, 35, scratch);
   EXPECT_TRUE(scratch.empty());
-  EXPECT_TRUE(agg_.window_view(GpuId{99}, Metric::kSmUtil, 100, 35).empty());
+  EXPECT_TRUE(agg_.window_view(GpuId{99}, Metric::kMemUtil, 100, 35).empty());
 }
 
 TEST_F(AggregatorTest, WindowStatsForUnknownGpuIsZeroCount) {
   sample_all(0);
-  EXPECT_EQ(agg_.window_stats(GpuId{99}, Metric::kSmUtil, 100, 35).count, 0u);
-  EXPECT_GT(agg_.window_stats(GpuId{1}, Metric::kSmUtil, 0, 35).count, 0u);
+  EXPECT_EQ(agg_.window_stats(GpuId{99}, Metric::kMemUtil, 100, 35).count, 0u);
+  EXPECT_GT(agg_.window_stats(GpuId{1}, Metric::kMemUtil, 0, 35).count, 0u);
+}
+
+TEST_F(AggregatorTest, WindowQueryOnUnrecordedMetricDies) {
+  for (SimTime t = 0; t <= 100; t += 10) sample_all(t);
+  // The heartbeat records mem_util only; a window over anything else would
+  // be silently empty, so every window entry point refuses it — even for a
+  // GPU the aggregator does not know.
+  EXPECT_DEATH((void)agg_.window(GpuId{1}, Metric::kSmUtil, 100, 35),
+               "does not record");
+  EXPECT_DEATH((void)agg_.window_view(GpuId{99}, Metric::kPowerWatts, 100, 35),
+               "does not record");
+  std::vector<double> scratch;
+  EXPECT_DEATH(
+      agg_.window_into(GpuId{0}, Metric::kTxBandwidth, 100, 35, scratch),
+      "does not record");
+  EXPECT_DEATH(
+      (void)agg_.window_stats(GpuId{2}, Metric::kRxBandwidth, 100, 35),
+      "does not record");
 }
 
 TEST_F(AggregatorTest, SnapshotIntoReusesBuffer) {

@@ -143,26 +143,6 @@ TEST(TimeSeriesDb, WindowStatsCacheInvalidatedByWrite) {
   EXPECT_EQ(db.window_stats(GpuId{0}, Metric::kSmUtil, 10).count, 1u);
 }
 
-TEST(TimeSeriesDb, LiveStatsTrackWindow) {
-  TimeSeriesDb db(/*retention=*/1024, /*stats_window=*/4);
-  EXPECT_EQ(db.live_stats(GpuId{0}, Metric::kSmUtil), nullptr);
-  for (SimTime t = 0; t < 8; ++t) {
-    db.write(GpuId{0}, Metric::kSmUtil, {t, static_cast<double>(t)});
-  }
-  const auto* live = db.live_stats(GpuId{0}, Metric::kSmUtil);
-  ASSERT_NE(live, nullptr);
-  EXPECT_EQ(live->count(), 4u);  // last four samples: 4,5,6,7
-  EXPECT_DOUBLE_EQ(live->mean(), 5.5);
-  EXPECT_DOUBLE_EQ(live->min(), 4.0);
-  EXPECT_DOUBLE_EQ(live->max(), 7.0);
-}
-
-TEST(TimeSeriesDb, LiveStatsDisabledByDefault) {
-  TimeSeriesDb db;
-  db.write(GpuId{0}, Metric::kSmUtil, {0, 1.0});
-  EXPECT_EQ(db.live_stats(GpuId{0}, Metric::kSmUtil), nullptr);
-}
-
 // The old KeyHash packed the metric into the low 8 bits of (gpu << 8),
 // colliding whole series once metric ids or gpu counts grew. The splitmix64
 // mix must keep every (gpu, metric) key distinct and well spread.
