@@ -1,6 +1,7 @@
 #include "dlsim/dl_cluster.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -111,6 +112,7 @@ std::size_t DlEngine::first_serviceable_gpu() const {
 }
 
 void DlEngine::attach_job(int job_id, std::size_t g) {
+  ++placement_epoch_;
   residents_[g].push_back(job_id);
   const PodId pod{job_id};
   KNOTS_CHECK(devices_[g]->attach(pod, cfg_.job_memory_mb));
@@ -123,6 +125,7 @@ void DlEngine::attach_job(int job_id, std::size_t g) {
 }
 
 void DlEngine::detach_job(int job_id, std::size_t g) {
+  ++placement_epoch_;
   std::erase(residents_[g], job_id);
   devices_[g]->detach(PodId{job_id});
 }
@@ -306,6 +309,7 @@ bool DlEngine::tick(SimTime t) {
   const double watts = cluster_watts();
   energy_joules_ += watts * to_seconds(cfg_.step);
   if (metrics_ != nullptr) {
+    metrics_->counter("dlsim.steps").inc();
     metrics_->gauge("dlsim.pending_depth")
         .set(static_cast<double>(pending_.size()));
     metrics_->gauge("dlsim.power_watts").set(watts);
@@ -346,29 +350,43 @@ double DlEngine::job_speed(const DltJob& job, SimTime t,
 }
 
 void DlEngine::refresh_comm_factors() {
-  if (!fabric_active() || cfg_.allreduce_mb_per_step <= 0) {
-    comm_factor_.clear();
-    return;
-  }
-  comm_factor_.assign(jobs_.size(), 1.0);
-  gang_routes_scratch_.clear();
-  gang_jobs_scratch_.clear();
+  if (!fabric_active() || cfg_.allreduce_mb_per_step <= 0) return;
+  // Gangs change only on attach/detach and link capacities only on link
+  // events, so between those the joint share is the one already solved.
+  if (comm_factors_current()) return;
+  comm_factor_ = solve_comm_factors();
+  solved_placement_epoch_ = placement_epoch_;
+  solved_link_epoch_ = fabric_->stats().link_events;
+  ++comm_solves_;
+  if (metrics_ != nullptr) metrics_->counter("dlsim.comm_solves").inc();
+}
+
+bool DlEngine::comm_factors_current() const {
+  return comm_solves_ > 0 && placement_epoch_ == solved_placement_epoch_ &&
+         fabric_->stats().link_events == solved_link_epoch_;
+}
+
+std::vector<double> DlEngine::solve_comm_factors() const {
+  std::vector<double> factors(jobs_.size(), 1.0);
+  std::vector<std::vector<int>> routes;
+  std::vector<std::size_t> gang_jobs;
+  std::vector<int> gang_nodes;
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     const DltJob& job = jobs_[j];
     if (!job.running || job.done() || job.placed_gpus.size() < 2) continue;
-    gang_nodes_scratch_.clear();
+    gang_nodes.clear();
     for (int g : job.placed_gpus) {
-      gang_nodes_scratch_.push_back(node_of(static_cast<std::size_t>(g)).value);
+      gang_nodes.push_back(node_of(static_cast<std::size_t>(g)).value);
     }
-    gang_routes_scratch_.push_back(fabric_->gang_route(gang_nodes_scratch_));
-    gang_jobs_scratch_.push_back(j);
+    routes.push_back(fabric_->gang_route(gang_nodes));
+    gang_jobs.push_back(j);
   }
-  if (gang_jobs_scratch_.empty()) return;
+  if (gang_jobs.empty()) return factors;
   // One joint max-min share across every active gang: concurrent gangs on a
   // shared uplink or spine squeeze each other, exactly like flows do.
-  const std::vector<double> rates = fabric_->stream_rates(gang_routes_scratch_);
+  const std::vector<double> rates = fabric_->stream_rates(routes);
   const double step_sec = to_seconds(cfg_.step);
-  for (std::size_t i = 0; i < gang_jobs_scratch_.size(); ++i) {
+  for (std::size_t i = 0; i < gang_jobs.size(); ++i) {
     const double rate = rates[i];
     double factor = 1.0;
     if (rate <= 0.0) {
@@ -377,8 +395,9 @@ void DlEngine::refresh_comm_factors() {
       const double comm_sec = cfg_.allreduce_mb_per_step / rate;
       factor = step_sec / (step_sec + comm_sec);
     }
-    comm_factor_[gang_jobs_scratch_[i]] = factor;
+    factors[gang_jobs[i]] = factor;
   }
+  return factors;
 }
 
 void DlEngine::advance_jobs(SimTime t) {
@@ -646,6 +665,16 @@ void DlEngine::audit(bool deep) {
     ok = ok && done_count == completed_;
     for (int p : pending_) {
       ok = ok && !jobs_[static_cast<std::size_t>(p)].running;
+    }
+    // Comm-factor cache: while neither epoch has moved since the last
+    // solve, the cached factors must be bit-identical to a fresh solve.
+    if (comm_factors_current()) {
+      const std::vector<double> fresh = solve_comm_factors();
+      ok = ok && std::equal(fresh.begin(), fresh.end(), comm_factor_.begin(),
+                            comm_factor_.end(), [](double a, double b) {
+                              return std::bit_cast<std::uint64_t>(a) ==
+                                     std::bit_cast<std::uint64_t>(b);
+                            });
     }
   }
   if (!ok) {

@@ -264,8 +264,8 @@ class DlEngine : private net::FabricObserver {
   [[nodiscard]] int tor_of(NodeId node) const {
     return fabric_ ? fabric_->tor_of(node.value) : 0;
   }
-  /// Communication efficiency factor the last tick computed for a job
-  /// (1 = communication-free; tests read this).
+  /// Communication efficiency factor in effect for a job (1 =
+  /// communication-free; tests read this).
   [[nodiscard]] double comm_factor(int job) const noexcept {
     const auto j = static_cast<std::size_t>(job);
     return j < comm_factor_.size() ? comm_factor_[j] : 1.0;
@@ -279,10 +279,20 @@ class DlEngine : private net::FabricObserver {
   void on_link_state(std::size_t link, bool up, SimTime now) override;
 
   bool tick(SimTime t);
-  /// Serial pre-advance pass: per-gang all-reduce efficiency factors from
-  /// the fabric's max-min stream rates. Empty vector = all 1.0 (no fabric
-  /// or no all-reduce traffic); lanes read it concurrently in job_speed.
+  /// Serial pre-advance pass: keeps comm_factor_ equal to
+  /// solve_comm_factors(), re-solving only when the placement epoch or the
+  /// fabric's link-event count moved since the last solve. Lanes read the
+  /// factors concurrently in job_speed.
   void refresh_comm_factors();
+  /// Per-job all-reduce efficiency factors from one joint max-min share of
+  /// the fabric over every running multi-GPU gang; requires a live fabric
+  /// and all-reduce traffic (without them comm_factor_ stays empty = all
+  /// 1.0). Pure: the deep audit re-solves into scratch to cross-check the
+  /// cached factors.
+  [[nodiscard]] std::vector<double> solve_comm_factors() const;
+  /// True when comm_factor_ was solved at the current placement epoch and
+  /// link-event count.
+  [[nodiscard]] bool comm_factors_current() const;
   void apply_fault(const fault::FaultEvent& event);
   void recover_node(NodeId node_id);
   void crash_node(const fault::FaultEvent& event);
@@ -330,9 +340,14 @@ class DlEngine : private net::FabricObserver {
 
   std::unique_ptr<net::Fabric> fabric_;  ///< null when cfg_.fabric empty
   std::vector<double> comm_factor_;      ///< per-job, see refresh_comm_factors
-  std::vector<int> gang_nodes_scratch_;
-  std::vector<std::vector<int>> gang_routes_scratch_;
-  std::vector<std::size_t> gang_jobs_scratch_;
+  /// Bumped on every attach/detach. Every place, evict, migrate, crash,
+  /// requeue and completion goes through those two, and the deep audit
+  /// holds running ⇔ fully placed, so an unchanged epoch means an
+  /// unchanged set of running gangs.
+  std::uint64_t placement_epoch_ = 0;
+  std::uint64_t solved_placement_epoch_ = 0;
+  std::uint64_t solved_link_epoch_ = 0;  ///< Fabric::Stats::link_events
+  std::uint64_t comm_solves_ = 0;
   std::uint64_t flow_seq_ = 0;  ///< Migration-charge flow ids (digest/trace).
 
   std::uint64_t jobs_evicted_ = 0;

@@ -1,7 +1,11 @@
 #include "knots/scenario.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -36,28 +40,58 @@ std::vector<Line> tokenize(std::istream& in) {
   return lines;
 }
 
+/// Whole-token integer; out-of-range input (ERANGE) is rejected, not
+/// saturated.
 std::optional<long long> to_int(const std::string& s) {
   if (s.empty()) return std::nullopt;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return std::nullopt;
+  if (end == nullptr || *end != '\0' || errno == ERANGE) return std::nullopt;
   return v;
 }
 
+/// to_int for values stored as int: anything outside int is rejected.
+std::optional<int> to_int32(const std::string& s) {
+  const auto v = to_int(s);
+  if (!v.has_value() || *v < std::numeric_limits<int>::min() ||
+      *v > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int>(*v);
+}
+
+/// Whole-token finite double: nan, inf and out-of-range input (ERANGE)
+/// are rejected.
 std::optional<double> to_double(const std::string& s) {
   if (s.empty()) return std::nullopt;
   char* end = nullptr;
+  errno = 0;
   const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0') return std::nullopt;
+  if (end == nullptr || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(v)) {
+    return std::nullopt;
+  }
   return v;
 }
 
-/// Seconds with an optional "s" suffix ("30", "30s") -> SimTime.
+/// Seconds with an optional "s" suffix ("30", "30s") -> SimTime; a value
+/// whose microseconds overflow SimTime is rejected.
 std::optional<SimTime> to_time(std::string s) {
   if (!s.empty() && s.back() == 's') s.pop_back();
   const auto v = to_int(s);
-  if (!v.has_value() || *v < 0) return std::nullopt;
+  if (!v.has_value() || *v < 0 ||
+      *v > std::numeric_limits<SimTime>::max() / kSec) {
+    return std::nullopt;
+  }
   return *v * kSec;
+}
+
+/// Whole megabytes for diagnostics, without a cast that could overflow.
+std::string mb_string(double mb) {
+  std::ostringstream out;
+  out << std::fixed << std::setprecision(0) << mb;
+  return out.str();
 }
 
 /// Splits "key=value"; returns false when `token` has no '='.
@@ -102,12 +136,12 @@ bool handle_nodeclass(ScenarioBuilder& b, const Line& line,
                 "unknown device model '" + nc.device_model + "'");
     return false;
   }
-  const auto count = to_int(line.tokens[3]);
+  const auto count = to_int32(line.tokens[3]);
   if (!count.has_value() || *count < 1) {
     error = err(line.number, "nodeclass count must be a positive integer");
     return false;
   }
-  nc.count = static_cast<int>(*count);
+  nc.count = *count;
   bool preemptible = false;
   SimTime notice = -1;
   for (std::size_t i = 4; i < line.tokens.size(); ++i) {
@@ -129,12 +163,12 @@ bool handle_nodeclass(ScenarioBuilder& b, const Line& line,
         continue;
       }
       if (key == "gpus") {
-        const auto g = to_int(value);
+        const auto g = to_int32(value);
         if (!g.has_value() || *g < 1) {
           error = err(line.number, "nodeclass gpus must be >= 1");
           return false;
         }
-        nc.gpus_per_node = static_cast<int>(*g);
+        nc.gpus_per_node = *g;
         continue;
       }
     }
@@ -164,13 +198,13 @@ bool handle_tenant(ScenarioBuilder& b, const Line& line, std::string& error) {
                 "tenant expects: tenant <id> [quota_mb=X] [quota_gpu_s=Y]");
     return false;
   }
-  const auto id = to_int(line.tokens[1]);
+  const auto id = to_int32(line.tokens[1]);
   if (!id.has_value() || *id < 1) {
     error = err(line.number, "tenant id must be a positive integer");
     return false;
   }
   cluster::TenantQuotaSpec quota;
-  quota.tenant = static_cast<int>(*id);
+  quota.tenant = *id;
   for (const auto& q : b.quotas) {
     if (q.tenant == quota.tenant) {
       error = err(line.number,
@@ -215,7 +249,7 @@ bool handle_fault(ScenarioBuilder& b, const Line& line, std::string& error) {
     error = err(line.number, "unknown fault kind '" + kind + "'");
     return false;
   }
-  long long node = -1;
+  int node = -1;
   SimTime at = -1;
   SimTime duration = 0;
   for (std::size_t i = 2; i < line.tokens.size(); ++i) {
@@ -226,7 +260,7 @@ bool handle_fault(ScenarioBuilder& b, const Line& line, std::string& error) {
       return false;
     }
     if (key == "node") {
-      const auto n = to_int(value);
+      const auto n = to_int32(value);
       if (!n.has_value() || *n < 0) {
         error = err(line.number, "fault node must be >= 0");
         return false;
@@ -248,7 +282,11 @@ bool handle_fault(ScenarioBuilder& b, const Line& line, std::string& error) {
     error = err(line.number, "fault needs node= and at=");
     return false;
   }
-  const NodeId target{static_cast<std::int32_t>(node)};
+  if (duration > std::numeric_limits<SimTime>::max() - at) {
+    error = err(line.number, "fault at= plus duration= overflows the clock");
+    return false;
+  }
+  const NodeId target{node};
   if (kind == "spot_reclaim") {
     b.faults.spot_reclaim(target, at, duration);
   } else {
@@ -256,6 +294,18 @@ bool handle_fault(ScenarioBuilder& b, const Line& line, std::string& error) {
   }
   b.have_fault = true;
   return true;
+}
+
+/// The class owning node `node` (numbered through the classes in order);
+/// `node` must be below their total.
+const cluster::NodeClass& class_of_node(
+    const std::vector<cluster::NodeClass>& classes, int node) {
+  long long first = 0;
+  for (const auto& nc : classes) {
+    if (node < first + nc.count) return nc;
+    first += nc.count;
+  }
+  return classes.back();
 }
 
 /// Semantic validation that must not abort: everything FaultPlan::validate /
@@ -266,25 +316,28 @@ bool finalize(ScenarioBuilder& b, std::string& error) {
     error = "scenario declares no node classes (need at least one nodeclass)";
     return false;
   }
-  int total_nodes = 0;
+  // Summed in 64 bits: each count fits int, their total need not.
+  long long total_nodes = 0;
   double total_memory_mb = 0;
-  std::vector<bool> preemptible_nodes;
   for (const auto& nc : b.classes) {
     total_nodes += nc.count;
     const auto model = gpu::find_device_model(nc.device_model);
     const int gpus = nc.gpus_per_node > 0 ? nc.gpus_per_node : b.gpus_per_node;
-    total_memory_mb += static_cast<double>(nc.count * gpus) *
-                       model->gpu.memory_mb;
-    preemptible_nodes.insert(preemptible_nodes.end(),
-                             static_cast<std::size_t>(nc.count),
-                             nc.preemptible);
+    total_memory_mb += static_cast<double>(nc.count) *
+                       static_cast<double>(gpus) * model->gpu.memory_mb;
+  }
+  if (total_nodes > kMaxScenarioNodes) {
+    error = "node classes total " + std::to_string(total_nodes) +
+            " nodes, more than the " + std::to_string(kMaxScenarioNodes) +
+            " a scenario may declare";
+    return false;
   }
   for (const auto& quota : b.quotas) {
     if (quota.provision_cap_mb > total_memory_mb) {
       error = "tenant " + std::to_string(quota.tenant) + " quota_mb " +
-              std::to_string(static_cast<long long>(quota.provision_cap_mb)) +
-              " exceeds total cluster memory " +
-              std::to_string(static_cast<long long>(total_memory_mb)) + " MB";
+              mb_string(quota.provision_cap_mb) +
+              " exceeds total cluster memory " + mb_string(total_memory_mb) +
+              " MB";
       return false;
     }
   }
@@ -296,7 +349,7 @@ bool finalize(ScenarioBuilder& b, std::string& error) {
       return false;
     }
     if (ev.kind == fault::FaultKind::kSpotReclaim &&
-        !preemptible_nodes[static_cast<std::size_t>(ev.node.value)]) {
+        !class_of_node(b.classes, ev.node.value).preemptible) {
       error = "spot_reclaim targets node " + std::to_string(ev.node.value) +
               " which is not in a preemptible node class";
       return false;
@@ -309,6 +362,14 @@ bool finalize(ScenarioBuilder& b, std::string& error) {
   if (b.want_auto_fabric) b.builder.auto_fabric();
   if (b.have_fault) b.builder.faults(std::move(b.faults));
   b.spec.config = b.builder.build();
+  // load_scale lines multiply: finite factors can still overflow or vanish.
+  const auto& wl = b.spec.config.workload;
+  if (!std::isfinite(wl.batch_rate_scale) || wl.batch_rate_scale <= 0 ||
+      !std::isfinite(wl.lc_rate_scale) || wl.lc_rate_scale <= 0) {
+    error = "load_scale lines multiply to a scale that is not finite and "
+            "positive";
+    return false;
+  }
   return true;
 }
 
@@ -349,14 +410,14 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
       }
       b.builder.duration(*t);
     } else if (directive == "lanes" && unary) {
-      const auto lanes = to_int(line.tokens[1]);
+      const auto lanes = to_int32(line.tokens[1]);
       if (!lanes.has_value() || *lanes < 1) {
         error = err(line.number, "lanes must be >= 1");
         return std::nullopt;
       }
-      b.builder.lanes(static_cast<int>(*lanes));
+      b.builder.lanes(*lanes);
     } else if (directive == "mix" && unary) {
-      const auto mix = to_int(line.tokens[1]);
+      const auto mix = to_int32(line.tokens[1]);
       bool known = false;
       if (mix.has_value()) {
         for (const auto& m : workload::all_app_mixes()) {
@@ -367,7 +428,7 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
         error = err(line.number, "unknown app mix '" + line.tokens[1] + "'");
         return std::nullopt;
       }
-      b.builder.mix(static_cast<int>(*mix));
+      b.builder.mix(*mix);
     } else if (directive == "load_scale" && unary) {
       const auto scale = to_double(line.tokens[1]);
       if (!scale.has_value() || *scale <= 0) {
@@ -376,12 +437,12 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
       }
       b.builder.load_scale(*scale);
     } else if (directive == "gpus_per_node" && unary) {
-      const auto gpus = to_int(line.tokens[1]);
+      const auto gpus = to_int32(line.tokens[1]);
       if (!gpus.has_value() || *gpus < 1) {
         error = err(line.number, "gpus_per_node must be >= 1");
         return std::nullopt;
       }
-      b.gpus_per_node = static_cast<int>(*gpus);
+      b.gpus_per_node = *gpus;
     } else if (directive == "nodeclass") {
       if (!handle_nodeclass(b, line, error)) return std::nullopt;
     } else if (directive == "tenant") {
@@ -392,12 +453,12 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
       workload_tenants.clear();
       bool ok = true;
       while (std::getline(ids, id, ',')) {
-        const auto v = to_int(id);
+        const auto v = to_int32(id);
         if (!v.has_value() || *v < 1) {
           ok = false;
           break;
         }
-        workload_tenants.push_back(static_cast<int>(*v));
+        workload_tenants.push_back(*v);
       }
       if (!ok || workload_tenants.empty()) {
         error = err(line.number,

@@ -23,10 +23,12 @@
 // `#` starts a comment; tokens are whitespace-separated. Parsing is strict:
 // unknown directives, unknown device models, quotas no cluster could grant,
 // spot classes without an eviction notice, or faults aimed at nodes that
-// don't exist (or aren't preemptible, for spot_reclaim) all fail with a
-// one-line "line N: why" diagnostic instead of aborting mid-run — knots_ctl
-// turns that into exit 2. A parsed scenario is an ordinary ExperimentConfig;
-// identical files produce bit-identical runs at any lane count.
+// don't exist (or aren't preemptible, for spot_reclaim), numbers that are
+// not finite or overflow their field, and node totals past
+// kMaxScenarioNodes all fail with a one-line "line N: why" diagnostic
+// instead of aborting mid-run — knots_ctl turns that into exit 2. A parsed
+// scenario is an ordinary ExperimentConfig; identical files produce
+// bit-identical runs at any lane count.
 #pragma once
 
 #include <iosfwd>
@@ -36,6 +38,11 @@
 #include "knots/experiment.hpp"
 
 namespace knots {
+
+/// Most nodes a scenario may declare across all its classes, ten times the
+/// largest fleet bench_scale simulates. Larger totals are rejected before
+/// anything (the roster, an auto fabric) is sized by them.
+inline constexpr long long kMaxScenarioNodes = 100000;
 
 struct ScenarioSpec {
   std::string name = "scenario";

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -49,10 +50,13 @@ bool EventQueue::pop(SimTime& t, Handler& fn) {
   --wheel_total_;
   --size_;
   // Clear the bucket the moment it drains: a slot must be empty before the
-  // sliding horizon maps a later absolute bucket onto it.
+  // sliding horizon maps a later absolute bucket onto it. Events scheduled
+  // into it later are appended and sorted when the cursor re-enters.
   if (cur_pos_ == b.size()) {
     b.clear();
+    unmark(cur_ab_);
     cur_pos_ = 0;
+    cur_sorted_ = false;
   }
   return true;
 }
@@ -60,11 +64,12 @@ bool EventQueue::pop(SimTime& t, Handler& fn) {
 void EventQueue::insert_wheel(Event ev) {
   std::int64_t ab = bucket_of(ev.time);
   // The cursor may sit past this bucket: run_until() peeks the next event
-  // (advancing the cursor over empty buckets), stops at its time bound, and
+  // (jumping the cursor over empty buckets), stops at its time bound, and
   // the caller then schedules between the bound and the peeked event. Every
   // bucket the cursor skipped was empty, so redirecting into the cursor's
   // bucket keeps pop order exact — the event's (time, seq) sorts before
-  // everything the wheel still holds.
+  // everything the wheel still holds. The bit marked below is the slot the
+  // event lands in, the cursor's when redirected.
   if (ab < cur_ab_) ab = cur_ab_;
   auto& b = slot(ab);
   if (ab == cur_ab_ && cur_sorted_) {
@@ -78,6 +83,7 @@ void EventQueue::insert_wheel(Event ev) {
   } else {
     b.push_back(std::move(ev));
   }
+  mark(ab);
   ++wheel_total_;
 }
 
@@ -115,12 +121,16 @@ bool EventQueue::prepare_next() {
     // than every wheel event (their absolute buckets are beyond the
     // horizon), so no mid-scan migration is needed.
     while (wheel_total_ > 0) {
-      auto& b = slot(cur_ab_);
       if (!cur_sorted_) {
+        // Skip the empty buckets: no event, live or tombstoned, sits
+        // between the cursor and the next occupied slot.
+        cur_ab_ = next_occupied();
+        auto& b = slot(cur_ab_);
         std::sort(b.begin(), b.end(), event_before);
         cur_sorted_ = true;
         cur_pos_ = 0;
       }
+      auto& b = slot(cur_ab_);
       while (cur_pos_ < b.size()) {
         auto it = canceled_.find(b[cur_pos_].seq);
         if (it == canceled_.end()) return true;
@@ -129,11 +139,30 @@ bool EventQueue::prepare_next() {
         --wheel_total_;
       }
       b.clear();
+      unmark(cur_ab_);
       cur_pos_ = 0;
       cur_sorted_ = false;
-      ++cur_ab_;
     }
   }
+}
+
+std::int64_t EventQueue::next_occupied() const noexcept {
+  const auto from = static_cast<std::size_t>(cur_ab_) & (kBuckets - 1);
+  std::size_t w = from >> 6;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (from & 63));
+  // kWords + 1 words: the last revisits the first word for the slots below
+  // the cursor, which map to the far end of the horizon.
+  for (std::size_t i = 0; i <= kWords; ++i) {
+    if (bits != 0) {
+      const std::size_t s = (w << 6) + static_cast<std::size_t>(
+                                           std::countr_zero(bits));
+      return cur_ab_ +
+             static_cast<std::int64_t>((s - from) & (kBuckets - 1));
+    }
+    w = (w + 1) & (kWords - 1);
+    bits = occupied_[w];
+  }
+  KNOTS_CHECK_MSG(false, "wheel events missing from the occupancy bitmap");
 }
 
 }  // namespace knots::sim

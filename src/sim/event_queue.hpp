@@ -16,7 +16,13 @@
 //    every pop/peek, overflow entries whose bucket has slid into the
 //    horizon migrate into the wheel. The horizon slides only as the
 //    cursor advances, so a migrated event always lands in a bucket the
-//    cursor has not entered yet — ordering is preserved by construction.
+//    cursor has not entered yet — ordering is preserved by construction;
+//  * a 1024-bit *occupancy bitmap* (one bit per slot) is set on every wheel
+//    insert and cleared when a slot drains, so the cursor jumps straight
+//    to the next occupied bucket instead of walking the empty ones (a 1 s
+//    dlsim step spans ~122 buckets). The jump visits exactly the buckets
+//    the walk would have stopped at — it skips only slots with no event,
+//    live or tombstoned — so the ordering contract below is unchanged.
 //
 // Ordering contract (identical to the std::priority_queue it replaced):
 // events pop in ascending (time, insertion-sequence) order, so
@@ -29,6 +35,7 @@
 // liveness explicitly).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -86,6 +93,18 @@ class EventQueue {
   [[nodiscard]] std::vector<Event>& slot(std::int64_t ab) noexcept {
     return buckets_[static_cast<std::size_t>(ab) & (kBuckets - 1)];
   }
+  static constexpr std::size_t kWords = kBuckets / 64;
+  void mark(std::int64_t ab) noexcept {
+    const auto s = static_cast<std::size_t>(ab) & (kBuckets - 1);
+    occupied_[s >> 6] |= std::uint64_t{1} << (s & 63);
+  }
+  void unmark(std::int64_t ab) noexcept {
+    const auto s = static_cast<std::size_t>(ab) & (kBuckets - 1);
+    occupied_[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
+  }
+  /// Absolute bucket of the first occupied slot at or after the cursor,
+  /// searching the ring once around. Requires a non-empty wheel.
+  [[nodiscard]] std::int64_t next_occupied() const noexcept;
   [[nodiscard]] bool in_horizon(std::int64_t ab) const noexcept {
     return ab < cur_ab_ + static_cast<std::int64_t>(kBuckets);
   }
@@ -99,12 +118,13 @@ class EventQueue {
   bool prepare_next();
 
   std::vector<std::vector<Event>> buckets_;
+  std::array<std::uint64_t, kWords> occupied_{};  ///< Bit per non-empty slot.
   std::vector<Event> overflow_;       ///< Sorted descending when clean.
   bool overflow_sorted_ = true;
   std::int64_t overflow_min_ab_ = kNoOverflow;  ///< Earliest overflow bucket.
   std::int64_t cur_ab_ = 0;           ///< Cursor's absolute bucket.
   std::size_t cur_pos_ = 0;           ///< Next index in the current bucket.
-  bool cur_sorted_ = false;           ///< Current bucket sorted & draining.
+  bool cur_sorted_ = false;           ///< Sorted, with entries left to pop.
   std::size_t wheel_total_ = 0;       ///< Wheel events, tombstoned included.
   std::size_t size_ = 0;              ///< Live events, wheel + overflow.
   std::uint64_t next_seq_ = 0;

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <queue>
+#include <unordered_map>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -137,6 +138,27 @@ TEST(EventQueue, ScheduleBetweenPopsLandsInOrder) {
   ASSERT_TRUE(q.pop(t, fn));
   EXPECT_EQ(t, 2 * kHorizon);
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, LoneEventAtEveryDistanceFromTheCursor) {
+  // The cursor jumps to the next occupied slot through the bitmap, wrapping
+  // past the end of the ring: with the cursor parked at various slots
+  // (word edges included), a single pending event at every distance across
+  // the horizon must be the one that pops.
+  for (const SimTime cursor : {0, 5, 63, 64, 500, 1023, 1024 + 70}) {
+    for (SimTime d = 0; d < static_cast<SimTime>(EventQueue::kBuckets); ++d) {
+      EventQueue q;
+      SimTime t = 0;
+      EventQueue::Handler fn;
+      q.schedule(cursor * kBucketWidth, [] {});
+      ASSERT_TRUE(q.pop(t, fn));  // parks the cursor on `cursor`
+      const SimTime at = (cursor + d) * kBucketWidth + d % kBucketWidth;
+      q.schedule(at, [] {});
+      ASSERT_TRUE(q.pop(t, fn)) << "cursor " << cursor << " distance " << d;
+      EXPECT_EQ(t, at) << "cursor " << cursor << " distance " << d;
+      EXPECT_TRUE(q.empty());
+    }
+  }
 }
 
 TEST(EventQueue, CancelSuppressesPendingEvent) {
@@ -272,6 +294,160 @@ TEST(EventQueueFuzz, MatchesPriorityQueueReference) {
     while (!ref.empty() && canceled[ref.top().seq]) ref.pop();
     EXPECT_TRUE(ref.empty()) << "seed " << seed;
     EXPECT_EQ(got, want) << "seed " << seed;
+  }
+}
+
+/// Drives the queue and the reference heap in lockstep; every peek and pop
+/// is checked against the reference as it happens.
+class Lockstep {
+ public:
+  std::uint64_t schedule(SimTime t) {
+    const int payload = next_payload_++;
+    const std::uint64_t id =
+        q_.schedule(t, [this, payload] { fired_ = payload; });
+    ref_.push(RefEvent{t, id, payload});
+    if (canceled_.size() <= id) canceled_.resize(id + 1, false);
+    return id;
+  }
+  void cancel(std::uint64_t id) {
+    q_.cancel(id);
+    canceled_[id] = true;
+  }
+  /// Earliest pending time (and its id) in both models; false when both
+  /// are empty.
+  bool peek(SimTime& t, std::uint64_t* id = nullptr) {
+    const bool have = q_.peek_time(t);
+    drop_tombstones();
+    EXPECT_EQ(have, !ref_.empty());
+    if (!have || ref_.empty()) return false;
+    EXPECT_EQ(t, ref_.top().time);
+    if (id != nullptr) *id = ref_.top().seq;
+    return true;
+  }
+  /// Pops and fires the earliest event in both models and reports its time
+  /// and id; false when both are empty.
+  bool pop(SimTime& t, std::uint64_t& id) {
+    EventQueue::Handler fn;
+    const bool have = q_.pop(t, fn);
+    drop_tombstones();
+    EXPECT_EQ(have, !ref_.empty());
+    if (!have || ref_.empty()) return false;
+    EXPECT_EQ(t, ref_.top().time);
+    fn();
+    EXPECT_EQ(fired_, ref_.top().payload);
+    id = ref_.top().seq;
+    ref_.pop();
+    return true;
+  }
+
+ private:
+  void drop_tombstones() {
+    while (!ref_.empty() && canceled_[ref_.top().seq]) ref_.pop();
+  }
+  EventQueue q_;
+  std::priority_queue<RefEvent, std::vector<RefEvent>, RefLater> ref_;
+  std::vector<bool> canceled_;  // by seq
+  int next_payload_ = 0;
+  int fired_ = -1;
+};
+
+/// Differential fuzz aimed at the occupancy-bitmap jump: a handful of
+/// sparse periodic chains (periods of 40–300 buckets, so nearly every
+/// bucket is empty) run for 40 horizons, wrapping the slot ring many
+/// times. Interleaved with them:
+///  * cancels of a chain's pending event, usually the only event in its
+///    bucket, which leaves a tombstone-only slot for the cursor to drain;
+///  * zero-delay follow-ups at the time just popped, which refill the slot
+///    the pop drained under the cursor;
+///  * run_until()'s pattern: peek, stop at a bound short of the peeked
+///    event, then schedule between the bound and that event, behind the
+///    cursor the peek jumped forward (sometimes after canceling the
+///    peeked event).
+TEST(EventQueueFuzz, SparsePeriodicChainsMatchReference) {
+  constexpr int kChains = 6;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 7919);
+    Lockstep ls;
+    std::vector<SimTime> period(kChains);
+    std::vector<std::uint64_t> pending(kChains);
+    std::unordered_map<std::uint64_t, int> chain_of;  // id -> chain
+    SimTime now = 0;
+    for (int c = 0; c < kChains; ++c) {
+      period[static_cast<std::size_t>(c)] =
+          rng.uniform_int(40, 300) * kBucketWidth +
+          rng.uniform_int(0, kBucketWidth - 1);
+      const std::uint64_t id = ls.schedule(rng.uniform_int(0, kHorizon));
+      pending[static_cast<std::size_t>(c)] = id;
+      chain_of[id] = c;
+    }
+    const auto restart = [&](int c, SimTime at) {
+      const std::uint64_t id = ls.schedule(at);
+      pending[static_cast<std::size_t>(c)] = id;
+      chain_of[id] = c;
+    };
+    std::size_t pops = 0;
+    while (now < 40 * kHorizon) {
+      ASSERT_FALSE(HasFailure()) << "seed " << seed << " pop " << pops;
+      const double roll = rng.uniform();
+      if (roll < 0.15) {
+        // run_until(bound): pop through the bound, then schedule behind
+        // the cursor the final peek moved.
+        const SimTime bound = now + rng.uniform_int(0, 400 * kBucketWidth);
+        SimTime t = 0;
+        std::uint64_t id = 0;
+        while (ls.peek(t) && t <= bound) {
+          ASSERT_TRUE(ls.pop(t, id));
+          ++pops;
+          now = t;
+          const auto it = chain_of.find(id);
+          if (it != chain_of.end()) {
+            restart(it->second, t + period[static_cast<std::size_t>(
+                                        it->second)]);
+            chain_of.erase(it);
+          }
+        }
+        now = std::max(now, bound);
+        if (!ls.peek(t, &id)) continue;
+        if (rng.uniform() < 0.3) {
+          // Cancel the peeked event, usually alone in its bucket; a chain
+          // restarts one period on.
+          ls.cancel(id);
+          const auto it = chain_of.find(id);
+          if (it != chain_of.end()) {
+            restart(it->second,
+                    t + period[static_cast<std::size_t>(it->second)]);
+            chain_of.erase(it);
+          }
+        }
+        if (ls.peek(t) && t > now) {
+          ls.schedule(now + rng.uniform_int(0, t - now - 1));
+        }
+      } else if (roll < 0.25) {
+        // Cancel a chain's pending event and restart it later.
+        const int c = static_cast<int>(rng.uniform_int(0, kChains - 1));
+        const std::uint64_t p = pending[static_cast<std::size_t>(c)];
+        const auto it = chain_of.find(p);
+        if (it == chain_of.end()) continue;
+        ls.cancel(p);
+        chain_of.erase(it);
+        restart(c, now + rng.uniform_int(0, 2 * kHorizon));
+      } else {
+        SimTime t = 0;
+        std::uint64_t id = 0;
+        ASSERT_TRUE(ls.pop(t, id));
+        ++pops;
+        now = t;
+        const auto it = chain_of.find(id);
+        if (it != chain_of.end()) {
+          restart(it->second,
+                  t + period[static_cast<std::size_t>(it->second)]);
+          chain_of.erase(it);
+        }
+        // Zero-delay follow-up into the slot the pop may have drained.
+        if (rng.uniform() < 0.2) ls.schedule(t);
+      }
+    }
+    EXPECT_GT(pops, 1000u) << "seed " << seed;
   }
 }
 
